@@ -14,6 +14,7 @@ package fleetobs
 import (
 	"errors"
 	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -122,6 +123,13 @@ type Failure struct {
 	Attempts int    `json:"attempts"`
 }
 
+// failureRec is one failure ring entry: the failure and its unit index,
+// which orders Snapshot.Failures.
+type failureRec struct {
+	unit int
+	f    Failure
+}
+
 // Snapshot is the manifest-shaped live view of a run, served by
 // /api/runs and /api/runs/{id}. Counter semantics match the written
 // manifest: Rows counts rows past ordered emission, JournalHits equals
@@ -150,11 +158,14 @@ type Snapshot struct {
 	RowsPerSec float64 `json:"rows_per_sec"`
 	EtaSec     float64 `json:"eta_sec,omitempty"`
 
-	Interrupted   bool      `json:"interrupted,omitempty"`
-	ResumeHint    string    `json:"resume_hint,omitempty"`
-	Error         string    `json:"error,omitempty"`
-	FailuresTotal int       `json:"failures_total"`
-	Failures      []Failure `json:"failures,omitempty"`
+	Interrupted   bool   `json:"interrupted,omitempty"`
+	ResumeHint    string `json:"resume_hint,omitempty"`
+	Error         string `json:"error,omitempty"`
+	FailuresTotal int    `json:"failures_total"`
+	// Failures is the failure ring (the newest failureRingCap terminal
+	// failures) ordered by unit index, ties by arrival, so it lines up
+	// with the manifest whatever order the workers finished in.
+	Failures []Failure `json:"failures,omitempty"`
 
 	// UnitViews is the per-unit detail, present only on /api/runs/{id}.
 	UnitViews []UnitView `json:"unit_views,omitempty"`
@@ -189,7 +200,7 @@ type RunState struct {
 	interrupted bool
 	resumeHint  string
 	finalErr    string
-	failures    []Failure // ring, newest last, capped at failureRingCap
+	failures    []failureRec // ring, newest last, capped at failureRingCap
 	failTotal   int
 	rowsRate    ewma
 	unitsRate   ewma
@@ -290,9 +301,9 @@ func (s *RunState) Event(ev fleet.MonitorEvent) {
 				u.errText = ev.Err.Error()
 			}
 			s.failTotal++
-			s.failures = append(s.failures, Failure{
+			s.failures = append(s.failures, failureRec{unit: ev.Unit, f: Failure{
 				Unit: ev.Key, Error: ev.Err.Error(), Stack: ev.Stack, Attempts: ev.Attempt,
-			})
+			}})
 			if len(s.failures) > failureRingCap {
 				s.failures = s.failures[1:]
 			}
@@ -388,7 +399,14 @@ func (s *RunState) Snapshot(detail bool) Snapshot {
 			snap.EtaSec = float64(s.total-completed) / rate
 		}
 	}
-	snap.Failures = append(snap.Failures, s.failures...)
+	if len(s.failures) > 0 {
+		ring := append([]failureRec(nil), s.failures...)
+		sort.SliceStable(ring, func(a, b int) bool { return ring[a].unit < ring[b].unit })
+		snap.Failures = make([]Failure, len(ring))
+		for i, r := range ring {
+			snap.Failures[i] = r.f
+		}
+	}
 	if detail {
 		snap.UnitViews = make([]UnitView, len(s.units))
 		for i := range s.units {

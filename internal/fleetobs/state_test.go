@@ -2,6 +2,7 @@ package fleetobs
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -152,6 +153,55 @@ func TestFailureRingBounded(t *testing.T) {
 	}
 	if len(snap.Failures) != failureRingCap {
 		t.Errorf("ring holds %d, want %d", len(snap.Failures), failureRingCap)
+	}
+}
+
+// TestFailureOrderByUnit: snapshot failures are ordered by unit index,
+// ties by arrival, whatever order workers finished in; the ring still
+// evicts the oldest arrival first.
+func TestFailureOrderByUnit(t *testing.T) {
+	s := NewRunState("r", "run")
+	n := 2 * failureRingCap
+	s.Event(fleet.MonitorEvent{Kind: fleet.EventRunStarted, Unit: -1, Units: n})
+	fail := func(unit int, msg string) {
+		s.Event(fleet.MonitorEvent{Kind: fleet.EventUnitDone, Unit: unit,
+			Key: "u" + strconv.Itoa(unit), Attempt: 1, Err: errors.New(msg)})
+	}
+	// Arrivals: 5, 3, 5 again, units counting down from n-1, and 5 once
+	// more: two past the cap, so the two oldest (5/first, 3) are evicted.
+	fail(5, "first")
+	fail(3, "only")
+	fail(5, "second")
+	for u := n - 1; u > n-failureRingCap+1; u-- {
+		fail(u, "x")
+	}
+	fail(5, "third")
+	snap := s.Snapshot(false)
+	if len(snap.Failures) != failureRingCap {
+		t.Fatalf("ring holds %d, want %d", len(snap.Failures), failureRingCap)
+	}
+	var got []string
+	for _, f := range snap.Failures {
+		got = append(got, f.Unit+":"+f.Error)
+	}
+	for i := 1; i < len(snap.Failures); i++ {
+		a, _ := strconv.Atoi(strings.TrimPrefix(snap.Failures[i-1].Unit, "u"))
+		b, _ := strconv.Atoi(strings.TrimPrefix(snap.Failures[i].Unit, "u"))
+		if a > b {
+			t.Fatalf("failures not ordered by unit: %v", got)
+		}
+	}
+	var fives []string
+	for _, f := range snap.Failures {
+		if f.Unit == "u5" {
+			fives = append(fives, f.Error)
+		}
+		if f.Unit == "u3" {
+			t.Errorf("oldest arrival u3 not evicted: %v", got)
+		}
+	}
+	if strings.Join(fives, ",") != "second,third" {
+		t.Errorf("unit 5 entries = %v, want [second third] (arrival order, first evicted)", fives)
 	}
 }
 

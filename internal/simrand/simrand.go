@@ -10,17 +10,19 @@ import (
 )
 
 // Source is a deterministic random stream. It wraps math/rand with the
-// distribution helpers the simulation needs. The raw source is kept
-// alongside the *rand.Rand so the hot normal sampler (ziggurat.go) can
-// draw from the same stream without the wrapper overhead.
+// distribution helpers the simulation needs. The *rand.Rand draws from an
+// in-package copy of math/rand's source (rng.go), and the concrete source
+// is kept alongside it so the hot normal sampler (ziggurat.go) can draw
+// from the same stream without the interface and wrapper overhead.
 type Source struct {
 	r   *rand.Rand
-	src rand.Source
+	src *rngSource
 }
 
 // New returns a source seeded with seed.
 func New(seed int64) *Source {
-	src := rand.NewSource(seed)
+	src := new(rngSource)
+	src.Seed(seed)
 	return &Source{r: rand.New(src), src: src}
 }
 

@@ -3,6 +3,7 @@ package simrand
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -232,4 +233,127 @@ func TestZigguratMatchesStdlib(t *testing.T) {
 			}
 		}
 	}
+}
+
+// streamSeeds covers Seed's special cases (0, negatives, multiples of
+// 2^31-1, which all reduce to the same internal seed) plus a run of
+// ordinary seeds.
+func streamSeeds() []int64 {
+	const m = 1<<31 - 1
+	seeds := []int64{0, -1, -2, -42, m, -m, 2 * m, 3*m + 1, m - 1, m + 1,
+		math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for s := int64(1); len(seeds) < 240; s++ {
+		seeds = append(seeds, s*7919-s*s)
+	}
+	return seeds
+}
+
+// TestSourceMatchesStdlib pins the in-package source (rng.go) to
+// math/rand: every Source method must draw the identical stream that
+// rand.New(rand.NewSource(seed)) does, and Split must derive the same
+// children, or every seeded experiment result downstream would move.
+func TestSourceMatchesStdlib(t *testing.T) {
+	for _, seed := range streamSeeds() {
+		a := New(seed)
+		ref := rand.New(rand.NewSource(seed))
+		fail := func(what string, i int, got, want any) {
+			t.Helper()
+			t.Fatalf("seed %d %s draw %d: %v != %v", seed, what, i, got, want)
+		}
+		for i := 0; i < 50; i++ {
+			if got, want := a.Int63(), ref.Int63(); got != want {
+				fail("Int63", i, got, want)
+			}
+			if got, want := a.Float64(), ref.Float64(); got != want {
+				fail("Float64", i, got, want)
+			}
+			if got, want := a.Intn(1000+i), ref.Intn(1000+i); got != want {
+				fail("Intn", i, got, want)
+			}
+			if got, want := a.Exponential(1), ref.ExpFloat64(); got != want {
+				fail("ExpFloat64", i, got, want)
+			}
+			if got, want := a.Normal(0, 1), ref.NormFloat64(); got != want {
+				fail("NormFloat64", i, got, want)
+			}
+		}
+		if got, want := a.Perm(37), ref.Perm(37); !slices.Equal(got, want) {
+			fail("Perm", 0, got, want)
+		}
+		x, y := make([]int, 29), make([]int, 29)
+		for i := range x {
+			x[i], y[i] = i, i
+		}
+		a.Shuffle(len(x), func(i, j int) { x[i], x[j] = x[j], x[i] })
+		ref.Shuffle(len(y), func(i, j int) { y[i], y[j] = y[j], y[i] })
+		if !slices.Equal(x, y) {
+			fail("Shuffle", 0, x, y)
+		}
+		// Split consumes one Int63 of the parent and seeds the child from
+		// it; rebuild the child from the reference stream the same way.
+		child := a.Split("noise")
+		h := uint64(1469598103934665603)
+		for _, c := range []byte("noise") {
+			h ^= uint64(c)
+			h *= 1099511628211
+		}
+		h ^= uint64(ref.Int63())
+		refChild := rand.New(rand.NewSource(int64(splitmix64(h))))
+		for i := 0; i < 20; i++ {
+			if got, want := child.Normal(0, 1), refChild.NormFloat64(); got != want {
+				fail("Split child", i, got, want)
+			}
+		}
+	}
+}
+
+// TestNormalFillMatchesNormal pins NormalFill to successive Normal calls,
+// with other draws interleaved between fills so a missed write-back of the
+// batch's hoisted tap/feed cursors would shift every later draw.
+func TestNormalFillMatchesNormal(t *testing.T) {
+	lengths := []int{0, 1, 127, 607, 608, 5000}
+	for _, seed := range []int64{0, 1, 2, 42, -7} {
+		a, b := New(seed), New(seed)
+		for round := 0; round < 4; round++ {
+			for _, n := range lengths {
+				dst := make([]float64, n)
+				a.NormalFill(dst, 3, 1.5)
+				for i, got := range dst {
+					if want := b.Normal(3, 1.5); got != want {
+						t.Fatalf("seed %d len %d draw %d: %v != %v", seed, n, i, got, want)
+					}
+				}
+				if got, want := a.Normal(-1, 2), b.Normal(-1, 2); got != want {
+					t.Fatalf("seed %d len %d: Normal after fill %v != %v", seed, n, got, want)
+				}
+				if got, want := a.Float64(), b.Float64(); got != want {
+					t.Fatalf("seed %d len %d: Float64 after fill %v != %v", seed, n, got, want)
+				}
+				if got, want := a.Intn(97), b.Intn(97); got != want {
+					t.Fatalf("seed %d len %d: Intn after fill %v != %v", seed, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+var normSink float64
+
+func BenchmarkNormal(b *testing.B) {
+	s := New(1)
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		sum += s.Normal(0, 1.2)
+	}
+	normSink = sum
+}
+
+func BenchmarkNormalFill(b *testing.B) {
+	s := New(1)
+	dst := make([]float64, 1280) // one 720p row of camera noise
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.NormalFill(dst, 0, 1.2)
+	}
+	normSink = dst[len(dst)-1]
 }

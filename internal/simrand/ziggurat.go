@@ -33,17 +33,25 @@ func zigAbsInt32(i int32) uint32 {
 	return uint32(i)
 }
 
-// normFloat64 is rand.Rand.NormFloat64 over the Source's stream.
+// normFloat64 is rand.Rand.NormFloat64 over the Source's stream, split so
+// the strip test, which decides better than 99% of draws, is a short
+// straight-line function with the source step inlined into it; the tail
+// and wedge cases live out of line in normSlow.
 func (s *Source) normFloat64() float64 {
-	for {
-		j := int32(s.zigUint32()) // Possibly negative
-		i := j & 0x7F
-		x := float64(j) * float64(wn[i])
-		if zigAbsInt32(j) < kn[i] {
-			// This case should be hit better than 99% of the time.
-			return x
-		}
+	j := int32(s.zigUint32()) // Possibly negative
+	i := j & 0x7F
+	x := float64(j) * float64(wn[i])
+	if zigAbsInt32(j) < kn[i] {
+		return x
+	}
+	return s.normSlow(j, i, x)
+}
 
+// normSlow finishes a draw whose first candidate (j, strip i, value x)
+// missed the strip test: the base-strip tail, the wedge test, and any
+// further candidates, exactly as rand.Rand.NormFloat64's loop does.
+func (s *Source) normSlow(j, i int32, x float64) float64 {
+	for {
 		if i == 0 {
 			// This extra work is only required for the base strip.
 			for {
@@ -61,7 +69,47 @@ func (s *Source) normFloat64() float64 {
 		if fn[i]+float32(s.zigFloat64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
 			return x
 		}
+		j = int32(s.zigUint32())
+		i = j & 0x7F
+		x = float64(j) * float64(wn[i])
+		if zigAbsInt32(j) < kn[i] {
+			return x
+		}
 	}
+}
+
+// NormalFill fills dst with normal draws of the given mean and standard
+// deviation. It is exactly len(dst) successive Normal calls: same values,
+// same stream consumption. The source's tap/feed cursors stay in locals
+// across the batch and are written back before every slow-path draw and
+// on return, so the strip case runs without touching the Source.
+func (s *Source) NormalFill(dst []float64, mean, stddev float64) {
+	rng := s.src
+	vec := &rng.vec
+	tap, feed := rng.tap, rng.feed
+	for k := range dst {
+		// rngSource.Uint64, then Int63 >> 31 as in zigUint32.
+		tap--
+		if tap < 0 {
+			tap += rngLen
+		}
+		feed--
+		if feed < 0 {
+			feed += rngLen
+		}
+		u := vec[feed] + vec[tap]
+		vec[feed] = u
+		j := int32(uint32((u & rngMask) >> 31))
+		i := j & 0x7F
+		x := float64(j) * float64(wn[i])
+		if zigAbsInt32(j) >= kn[i] {
+			rng.tap, rng.feed = tap, feed
+			x = s.normSlow(j, i, x)
+			tap, feed = rng.tap, rng.feed
+		}
+		dst[k] = mean + stddev*x
+	}
+	rng.tap, rng.feed = tap, feed
 }
 
 var kn = [128]uint32{

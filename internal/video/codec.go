@@ -440,14 +440,21 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 	return ef, nil
 }
 
+// clamp255 rounds v half away from zero and clamps it to [0, 255]: the
+// same result as clamping v<0 to 0 and v>255 to 255, then
+// uint8(math.Round(v)). For v >= 0.5 the sum v+0.5 is exact or rounds
+// without crossing an integer, so truncating it rounds v correctly; only
+// v in [0, 0.5) could round up (0.49999999999999994+0.5 == 1), and the
+// first guard sends that range, and everything below it, to 0.
+// TestClamp255Exact pins the equivalence.
 func clamp255(v float64) uint8 {
-	if v < 0 {
+	if v < 0.5 {
 		return 0
 	}
 	if v > 255 {
 		return 255
 	}
-	return uint8(math.Round(v))
+	return uint8(v + 0.5)
 }
 
 // quantTable scales the JPEG table by the current quantizer: higher qscale

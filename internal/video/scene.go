@@ -21,7 +21,8 @@ type Scene struct {
 	headS    *simrand.OU
 	handAmp  *simrand.OU
 	bg       []uint8
-	frame    *Frame // reused render target; returned by Next
+	frame    *Frame    // reused render target; returned by Next
+	noise    []float64 // one row of camera-noise draws, reused per row
 	t        float64
 	fps      float64
 	// NoiseLevel is the camera noise std dev in grey levels.
@@ -70,6 +71,7 @@ func (s *Scene) Next() *Frame {
 	s.t += dt
 	if s.frame == nil {
 		s.frame = NewFrame(s.W, s.H)
+		s.noise = make([]float64, s.W)
 	}
 	f := s.frame
 	copy(f.Pix, s.bg)
@@ -126,12 +128,16 @@ func (s *Scene) Next() *Frame {
 		fill(hx, hy, rx*0.35, rx*0.35, 185)
 		fill(2*cx-hx, hy, rx*0.35, rx*0.35, 185)
 	}
-	// Camera sensor noise.
+	// Camera sensor noise: one batched draw per row, in raster order, so
+	// the stream is the per-pixel Normal sequence.
 	if s.NoiseLevel > 0 {
-		for i := range f.Pix {
-			n := s.noiseRng.Normal(0, s.NoiseLevel)
-			v := float64(f.Pix[i]) + n
-			f.Pix[i] = clamp255(v)
+		noise := s.noise
+		for y := 0; y < s.H; y++ {
+			row := f.Pix[y*s.W:][:len(noise)]
+			s.noiseRng.NormalFill(noise, 0, s.NoiseLevel)
+			for x, n := range noise {
+				row[x] = clamp255(float64(row[x]) + n)
+			}
 		}
 	}
 	return f

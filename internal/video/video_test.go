@@ -393,3 +393,61 @@ func TestSetTargetBpsRetargetsMidStream(t *testing.T) {
 			before, after)
 	}
 }
+
+// clamp255Ref is the historical clamp: clamp to [0, 255], then round half
+// away from zero.
+func clamp255Ref(v float64) uint8 {
+	if v < 0 {
+		return 0
+	}
+	if v > 255 {
+		return 255
+	}
+	return uint8(math.Round(v))
+}
+
+// TestClamp255Exact pins the branch-light clamp255 to the reference on the
+// rounding boundaries, the special values, and the noisy pixel values the
+// scene and codec reconstruction loops actually feed it.
+func TestClamp255Exact(t *testing.T) {
+	check := func(v float64) {
+		if got, want := clamp255(v), clamp255Ref(v); got != want {
+			t.Fatalf("clamp255(%v) = %d, want %d", v, got, want)
+		}
+	}
+	for k := -2; k <= 256; k++ {
+		h := float64(k) + 0.5
+		check(h)
+		check(math.Nextafter(h, math.Inf(-1)))
+		check(math.Nextafter(h, math.Inf(1)))
+	}
+	for _, v := range []float64{
+		0.49999999999999994, 0, math.Copysign(0, -1), 255, 255.5,
+		math.Inf(1), math.Inf(-1),
+	} {
+		check(v)
+	}
+	const n = 10_000_000
+	for _, sigma := range []float64{1.2, 9} {
+		rng := simrand.New(int64(sigma * 10))
+		for i := 0; i < n; i++ {
+			check(float64(i&0xFF) + rng.Normal(0, sigma))
+		}
+	}
+}
+
+var sceneSink *Frame
+
+func benchmarkSceneNext(b *testing.B, w, h int) {
+	s := NewScene(simrand.New(15), w, h, 30)
+	b.SetBytes(int64(w * h))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sceneSink = s.Next()
+	}
+}
+
+func BenchmarkSceneNext360p(b *testing.B)  { benchmarkSceneNext(b, 640, 360) }
+func BenchmarkSceneNext720p(b *testing.B)  { benchmarkSceneNext(b, 1280, 720) }
+func BenchmarkSceneNext1080p(b *testing.B) { benchmarkSceneNext(b, 1920, 1080) }
