@@ -2,7 +2,10 @@ package entropy
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -244,6 +247,26 @@ func BenchmarkCompressKeypointLike(b *testing.B) {
 	}
 }
 
+// BenchmarkCompressorKeypointLike is BenchmarkCompressKeypointLike on a
+// reused Compressor, as the semantic and video codecs hold one: the
+// one-shot wrapper's allocations are mostly the Compressor itself.
+func BenchmarkCompressorKeypointLike(b *testing.B) {
+	rng := simrand.New(4)
+	src := make([]byte, 444)
+	for i := range src {
+		if i%2 == 0 {
+			src[i] = byte(rng.Intn(7))
+		}
+	}
+	c := NewCompressor()
+	var dst []byte
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dst = c.Compress(dst[:0], src)
+	}
+}
+
 func BenchmarkDecompress(b *testing.B) {
 	src := bytes.Repeat([]byte("persona"), 1000)
 	comp := Compress(nil, src)
@@ -302,4 +325,89 @@ func TestCompressorSteadyStateAllocs(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("steady-state compress+decompress allocates %.1f times per op, want 0", allocs)
 	}
+}
+
+// allocated returns the bytes fn allocates on the heap.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecompressDeclaredSizeBounded pins the allocation of a stream whose
+// header declares far more output than its body can hold: 11 bytes that
+// declare 2 GiB must be rejected without allocating the declared size.
+func TestDecompressDeclaredSizeBounded(t *testing.T) {
+	src := append(binary.AppendUvarint(nil, 1<<31), 0, 0, 0, 0, 0, 0)
+	if len(src) != 11 {
+		t.Fatalf("stream is %d bytes, want 11", len(src))
+	}
+	d := NewDecompressor()
+	var err error
+	if n := allocated(func() { _, err = d.Decompress(nil, src) }); n >= 1<<20 {
+		t.Errorf("Decompress allocated %d bytes, want < 1 MiB", n)
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecompressGrowsPastFirstAllocation decodes a stream that expands
+// far beyond maxExpansion of its size, so the output must grow while it
+// is written, into a fresh buffer and after a retained prefix.
+func TestDecompressGrowsPastFirstAllocation(t *testing.T) {
+	src := bytes.Repeat([]byte{7}, 1<<20)
+	comp := Compress(nil, src)
+	if maxExpansion(len(comp)) >= len(src) {
+		t.Fatalf("%d-byte stream does not outgrow its first allocation", len(comp))
+	}
+	for _, prefix := range [][]byte{nil, []byte("prefix")} {
+		got, err := NewDecompressor().Decompress(append([]byte(nil), prefix...), comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append(append([]byte(nil), prefix...), src...)) {
+			t.Fatalf("prefix %q: grown output differs", prefix)
+		}
+	}
+}
+
+// FuzzDecompress checks that no input panics Decompress, that its
+// allocation stays bounded by what the input can expand to, and that
+// Compress∘Decompress round-trips arbitrary bytes. Every decoded bit costs
+// at least 0.022 bits of input (the adaptive probabilities saturate at
+// 2017/2048), so a stream expands by well under 8000x; with output growth
+// at most doubling, 64 KiB per input byte bounds the allocation.
+func FuzzDecompress(f *testing.F) {
+	rng := simrand.New(20)
+	keypoints := make([]byte, 444)
+	for i := 0; i < len(keypoints); i += 2 {
+		keypoints[i] = byte(rng.Intn(7))
+	}
+	for _, src := range [][]byte{
+		keypoints,
+		bytes.Repeat([]byte("semantic keypoints "), 50),
+		bytes.Repeat([]byte{0}, 4096),
+		nil,
+	} {
+		f.Add(Compress(nil, src))
+	}
+	f.Add(append(binary.AppendUvarint(nil, 1<<31), 0, 0, 0, 0, 0, 0))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	d := NewDecompressor()
+	c := NewCompressor()
+	var raw []byte
+	f.Fuzz(func(t *testing.T, data []byte) {
+		limit := uint64(1<<20 + 64<<10*len(data))
+		if n := allocated(func() { _, _ = d.Decompress(nil, data) }); n > limit {
+			t.Errorf("Decompress of %d bytes allocated %d bytes, limit %d", len(data), n, limit)
+		}
+		var err error
+		raw, err = d.Decompress(raw[:0], c.Compress(nil, data))
+		if err != nil || !bytes.Equal(raw, data) {
+			t.Errorf("round trip of %d bytes failed: %v", len(data), err)
+		}
+	})
 }

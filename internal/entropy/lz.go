@@ -290,20 +290,24 @@ func (c *Decompressor) Decompress(dst, src []byte) ([]byte, error) {
 		return bit
 	}
 
-	// The stream declares its decoded size up front: allocate once and
-	// write through a cursor instead of paying append bookkeeping per
-	// literal.
+	// The stream declares its decoded size up front, but a corrupt header
+	// can declare far more than src could ever expand to. Allocate the
+	// declared size only up to maxExpansion(len(src)), write through a
+	// cursor instead of paying append bookkeeping per literal, and double
+	// the buffer (capped at the declared size) whenever the cursor reaches
+	// its end.
 	base := len(dst)
 	need := base + int(size)
 	out := dst
-	if cap(out) < need {
-		grown := make([]byte, len(out), need)
-		copy(grown, out)
-		out = grown
+	if initial := min(need, base+maxExpansion(len(src))); cap(out) < initial {
+		out = growTo(out, base, initial)
 	}
-	out = out[:need]
+	out = out[:min(need, cap(out))]
 	w := base
 	for w < need {
+		if w == len(out) {
+			out = growTo(out, w, min(need, 2*len(out)))
+		}
 		if isMatchBit() == 0 {
 			out[w] = byte(m.lit.Decode(dec))
 			w++
@@ -325,6 +329,9 @@ func (c *Decompressor) Decompress(dst, src []byte) ([]byte, error) {
 			if w+length > need {
 				return nil, fmt.Errorf("%w: match overruns declared size", ErrCorrupt)
 			}
+			if w+length > len(out) {
+				out = growTo(out, w, min(need, max(2*len(out), w+length)))
+			}
 			if dist >= length {
 				copy(out[w:w+length], out[start:start+length])
 				w += length
@@ -340,6 +347,20 @@ func (c *Decompressor) Decompress(dst, src []byte) ([]byte, error) {
 		}
 	}
 	return out, nil
+}
+
+// maxExpansion bounds the first output allocation of a Decompress of n
+// input bytes. The codecs' streams fit within it (an all-skip 720p delta
+// body, 14,400 zero bytes, compresses to 50), so they get their declared
+// size in one allocation; a stream that declares more grows its output
+// only as its input actually decodes.
+func maxExpansion(n int) int { return 256*n + 4096 }
+
+// growTo returns a buffer of length n that starts with buf[:keep].
+func growTo(buf []byte, keep, n int) []byte {
+	grown := make([]byte, n)
+	copy(grown, buf[:keep])
+	return grown
 }
 
 // Decompress decodes a Compress stream appended after dst. One-shot

@@ -134,6 +134,18 @@ func fdct8(block *[64]float64) {
 	}
 }
 
+// dcTerm returns fdct8's DC coefficient of block, computed with fdct8's
+// own arithmetic (each row's dot8 with the k=0 basis scaled by dctC(0),
+// then the same over the eight row terms), so it is bit-identical to
+// block[0] after fdct8.
+func dcTerm(block *[64]float64) float64 {
+	var t [8]float64
+	for y := range t {
+		t[y] = dot8((*[8]float64)(block[y*8:y*8+8]), &dctCos[0]) * dctC(0)
+	}
+	return dot8(&t, &dctCos[0]) * dctC(0)
+}
+
 func idct8(block *[64]float64) {
 	var tmp [64]float64
 	// Hoist the per-coefficient scale: the products (c*coef)*cos match the
@@ -141,6 +153,12 @@ func idct8(block *[64]float64) {
 	// bit-identical while the inner loops lose a branch and a multiply.
 	var scaled [8]float64
 	for x := 0; x < 8; x++ { // cols
+		if block[x] == 0 && block[8+x] == 0 && block[16+x] == 0 && block[24+x] == 0 &&
+			block[32+x] == 0 && block[40+x] == 0 && block[48+x] == 0 && block[56+x] == 0 {
+			// An all-zero column transforms to zeros, which tmp already
+			// holds (DESIGN.md "Exact transform shortcuts").
+			continue
+		}
 		for k := 0; k < 8; k++ {
 			scaled[k] = dctC(k) * block[k*8+x]
 		}
@@ -181,6 +199,87 @@ var zigzagOrder = [64]int{
 	58, 59, 52, 45, 38, 31, 39, 46,
 	53, 60, 61, 54, 47, 55, 62, 63,
 }
+
+// endOfBlock marks a block's final run: no real run can reach it.
+const endOfBlock = 1 << 20
+
+// quantTable scales the JPEG table by qscale: higher qscale means finer
+// quantization (better quality, more bits).
+func quantTable(qscale float64) [64]float64 {
+	var q [64]float64
+	for i, v := range jpegLuma {
+		q[i] = float64(v) / qscale
+		if q[i] < 0.5 {
+			q[i] = 0.5
+		}
+	}
+	return q
+}
+
+// acZeroMargin is the slack, in coefficient units, that acZeroBound keeps
+// below half the smallest AC step. fdct8's rounding error on residuals
+// with |x| <= 255 is about 1e-11 at worst, five orders of magnitude
+// smaller.
+const acZeroMargin = 1e-6
+
+// acZeroBound returns 64·(q_min/2 − acZeroMargin)², q_min being the
+// smallest AC step of q. A residual block with 64·Σx² − (Σx)² below it has
+// AC energy under (q_min/2 − acZeroMargin)², so by Parseval every AC
+// coefficient quantizes to zero.
+func acZeroBound(q *[64]float64) float64 {
+	qmin := q[1]
+	for _, v := range q[2:] {
+		qmin = min(qmin, v)
+	}
+	r := qmin/2 - acZeroMargin
+	return 64 * r * r
+}
+
+// codeBlock transforms, quantizes and run-length codes one residual block,
+// appending its varints to body. On return block holds the dequantized,
+// inverse-transformed residual, exactly as the decoder reconstructs it.
+// sum and sumSq are the residual's exact integer sum and sum of squares;
+// acZero is acZeroBound(q). A block whose AC energy certifies that every
+// AC coefficient quantizes to zero skips both transforms and codes its DC
+// term alone (DESIGN.md "Exact transform shortcuts").
+func codeBlock(body []byte, block *[64]float64, sum, sumSq int, q *[64]float64, acZero float64) []byte {
+	if float64(64*sumSq-sum*sum) < acZero {
+		c := int32(math.Round(dcTerm(block) / q[0]))
+		if c == 0 {
+			body = binary.AppendUvarint(body, 64|endOfBlock)
+		} else {
+			body = binary.AppendUvarint(body, 0)
+			body = binary.AppendUvarint(body, zigzag(c))
+			body = binary.AppendUvarint(body, 63|endOfBlock)
+		}
+		// idct8 of a DC-only block: both passes scale by dctC(0) and
+		// multiply by cos(0) == 1, and the zero terms add nothing.
+		r := dctC(0) * (dctC(0) * (float64(c) * q[0]))
+		for i := range block {
+			block[i] = r
+		}
+		return body
+	}
+	fdct8(block)
+	// Quantize + zigzag + run-length code.
+	run := 0
+	for _, zi := range zigzagOrder {
+		c := int32(math.Round(block[zi] / q[zi]))
+		block[zi] = float64(c) * q[zi] // dequantize for recon
+		if c == 0 {
+			run++
+			continue
+		}
+		body = binary.AppendUvarint(body, uint64(run))
+		body = binary.AppendUvarint(body, zigzag(c))
+		run = 0
+	}
+	body = binary.AppendUvarint(body, uint64(run)|endOfBlock)
+	idct8(block)
+	return body
+}
+
+func zigzag(v int32) uint64 { return uint64(uint32(v<<1) ^ uint32(v>>31)) }
 
 // Config sets up an encoder.
 type Config struct {
@@ -283,14 +382,8 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 
 	// Payload: per block, a skip flag byte stream and coefficient stream.
 	body := e.body[:0]
-	var vbuf [binary.MaxVarintLen64]byte
-	putUv := func(v uint64) {
-		n := binary.PutUvarint(vbuf[:], v)
-		body = append(body, vbuf[:n]...)
-	}
-	zig := func(v int32) uint64 { return uint64(uint32(v<<1) ^ uint32(v>>31)) }
-
-	q := e.quantTable()
+	q := quantTable(e.qscale)
+	acZero := acZeroBound(&q)
 	var block [64]float64
 	w := f.W
 	for by := 0; by < bh; by++ {
@@ -342,52 +435,47 @@ func (e *Encoder) Encode(f *Frame) (*EncodedFrame, error) {
 				}
 				body = append(body, 1) // coded
 			}
-			// Residual (or intra) block.
+			// Residual (or intra) block, with its exact sum and sum of
+			// squares for codeBlock's zero-AC certificate.
+			sum, sumSq := 0, 0
 			if interior {
 				base := oy*w + ox
 				for y := 0; y < 8; y++ {
 					cur := f.Pix[base+y*w : base+y*w+8 : base+y*w+8]
 					if key {
 						for x := 0; x < 8; x++ {
-							block[y*8+x] = float64(int(cur[x]) - 128)
+							d := int(cur[x]) - 128
+							block[y*8+x] = float64(d)
+							sum += d
+							sumSq += d * d
 						}
 					} else {
 						prev := e.ref.Pix[base+y*w : base+y*w+8 : base+y*w+8]
 						for x := 0; x < 8; x++ {
-							block[y*8+x] = float64(int(cur[x]) - int(prev[x]))
+							d := int(cur[x]) - int(prev[x])
+							block[y*8+x] = float64(d)
+							sum += d
+							sumSq += d * d
 						}
 					}
 				}
 			} else {
 				for y := 0; y < 8; y++ {
 					for x := 0; x < 8; x++ {
-						v := float64(f.At(ox+x, oy+y))
+						d := int(f.At(ox+x, oy+y))
 						if !key {
-							v -= float64(e.ref.At(ox+x, oy+y))
+							d -= int(e.ref.At(ox+x, oy+y))
 						} else {
-							v -= 128
+							d -= 128
 						}
-						block[y*8+x] = v
+						block[y*8+x] = float64(d)
+						sum += d
+						sumSq += d * d
 					}
 				}
 			}
-			fdct8(&block)
-			// Quantize + zigzag + run-length code.
-			run := 0
-			for _, zi := range zigzagOrder {
-				c := int32(math.Round(block[zi] / q[zi]))
-				block[zi] = float64(c) * q[zi] // dequantize for recon
-				if c == 0 {
-					run++
-					continue
-				}
-				putUv(uint64(run))
-				putUv(zig(c))
-				run = 0
-			}
-			putUv(uint64(run) | 1<<20) // end-of-block marker: impossible run
+			body = codeBlock(body, &block, sum, sumSq, &q, acZero)
 			// Reconstruct exactly as the decoder will.
-			idct8(&block)
 			if interior {
 				base := oy*w + ox
 				for y := 0; y < 8; y++ {
@@ -457,19 +545,6 @@ func clamp255(v float64) uint8 {
 	return uint8(v + 0.5)
 }
 
-// quantTable scales the JPEG table by the current quantizer: higher qscale
-// means finer quantization (better quality, more bits).
-func (e *Encoder) quantTable() [64]float64 {
-	var q [64]float64
-	for i, v := range jpegLuma {
-		q[i] = float64(v) / e.qscale
-		if q[i] < 0.5 {
-			q[i] = 0.5
-		}
-	}
-	return q
-}
-
 // adaptRate is a simple closed-loop controller nudging qscale so that mean
 // frame size approaches TargetBps/FPS. Real VCAs do the same at the encoder
 // level (the paper observes the resulting per-app bitrates in Figure 5).
@@ -532,14 +607,14 @@ func (d *Decoder) Decode(data []byte) (*Frame, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	d.body = body
-
-	var q [64]float64
-	for i, v := range jpegLuma {
-		q[i] = float64(v) / qscale
-		if q[i] < 0.5 {
-			q[i] = 0.5
-		}
+	bw, bh := (w+7)/8, (h+7)/8
+	if len(body) < bw*bh {
+		// Every block takes at least one body byte (a delta flag, or a
+		// keyframe EOB varint), so this frame cannot parse: reject it
+		// before allocating a frame of its unchecked dimensions.
+		return nil, ErrCorrupt
 	}
+	q := quantTable(qscale)
 
 	pos := 0
 	getUv := func() (uint64, error) {
@@ -556,7 +631,6 @@ func (d *Decoder) Decode(data []byte) (*Frame, error) {
 		out = NewFrame(w, h)
 	}
 	d.spare = nil
-	bw, bh := (w+7)/8, (h+7)/8
 	var block [64]float64
 	for by := 0; by < bh; by++ {
 		for bx := 0; bx < bw; bx++ {
@@ -596,7 +670,7 @@ func (d *Decoder) Decode(data []byte) (*Frame, error) {
 				if err != nil {
 					return nil, err
 				}
-				if run >= 1<<20 { // end of block
+				if run >= endOfBlock {
 					break
 				}
 				zi += int(run)
@@ -680,6 +754,10 @@ func (d *Decoder) Validate(data []byte) error {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	d.body = body
+	bw, bh := (w+7)/8, (h+7)/8
+	if len(body) < bw*bh { // as in Decode
+		return ErrCorrupt
+	}
 
 	pos := 0
 	getUv := func() (uint64, error) {
@@ -690,7 +768,6 @@ func (d *Decoder) Validate(data []byte) error {
 		pos += n
 		return v, nil
 	}
-	bw, bh := (w+7)/8, (h+7)/8
 	for b := 0; b < bw*bh; b++ {
 		if !key {
 			if pos >= len(body) {
@@ -711,7 +788,7 @@ func (d *Decoder) Validate(data []byte) error {
 			if err != nil {
 				return err
 			}
-			if run >= 1<<20 { // end of block
+			if run >= endOfBlock {
 				break
 			}
 			zi += int(run)

@@ -1,9 +1,12 @@
 package video
 
 import (
+	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 
+	"telepresence/internal/entropy"
 	"telepresence/internal/simrand"
 )
 
@@ -303,6 +306,48 @@ func BenchmarkEncode360p(b *testing.B) {
 	}
 }
 
+// benchmarkEncodeConverged times Encode with a session's encoder settings
+// (GOP of two seconds) at a rate-controlled target, after 150 warm-up
+// frames have let the quantizer settle. The scene frames are replayed
+// forward then backward, so consecutive frames always differ by one step
+// of motion, as in a live call.
+func benchmarkEncodeConverged(b *testing.B, w, h int, fps, bps float64) {
+	scene := NewScene(simrand.New(21), w, h, fps)
+	enc, _ := NewEncoder(Config{W: w, H: h, FPS: fps, TargetBps: bps, Quality: 1,
+		GOP: int(2 * fps), SkipThreshold: 2})
+	frames := make([]*Frame, 32)
+	for i := range frames {
+		frames[i] = scene.Next().Clone()
+	}
+	frame := func(i int) *Frame { // 0..31, 30..1, 0..31, ...
+		i %= 2*len(frames) - 2
+		if i >= len(frames) {
+			i = 2*len(frames) - 2 - i
+		}
+		return frames[i]
+	}
+	for i := 0; i < 150; i++ {
+		enc.Encode(frame(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := enc.Encode(frame(150 + i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncode360pLowRate is lossy2d's regime: Zoom's 640x360 at
+// 15 fps, retargeted to 0.3 Mbps. The quantizer settles near qscale 0.26,
+// where about 83% of coded blocks quantize to a DC term or nothing. (At
+// 0.5 Mbps it settles near 0.9, and no block does.)
+func BenchmarkEncode360pLowRate(b *testing.B) { benchmarkEncodeConverged(b, 640, 360, 15, 0.3e6) }
+
+// BenchmarkEncode720p is sfu2d's regime: Teams' 1280x720 at 30 fps and
+// 2.6 Mbps.
+func BenchmarkEncode720p(b *testing.B) { benchmarkEncodeConverged(b, 1280, 720, 30, 2.6e6) }
+
 func BenchmarkDecode360p(b *testing.B) {
 	scene := NewScene(simrand.New(13), 640, 360, 30)
 	enc, _ := NewEncoder(DefaultConfig(640, 360, 1.5e6))
@@ -357,6 +402,93 @@ func TestValidateMatchesDecode(t *testing.T) {
 	if _, err := ref.Decode(p.Data[:5]); err == nil {
 		t.Error("Decode accepted truncated frame")
 	}
+}
+
+// TestOversizedHeaderRejectedBeforeAlloc feeds an 18-byte keyframe whose
+// header claims 40000x40000 pixels over a one-block body: both Decode and
+// Validate must reject it without allocating a frame of that size.
+func TestOversizedHeaderRejectedBeforeAlloc(t *testing.T) {
+	data := []byte{frameKey}
+	data = binary.LittleEndian.AppendUint16(data, 40000)
+	data = binary.LittleEndian.AppendUint16(data, 40000)
+	data = binary.LittleEndian.AppendUint32(data, math.Float32bits(1))
+	data = entropy.Compress(data, binary.AppendUvarint(nil, 64|endOfBlock))
+	if len(data) != 18 {
+		t.Fatalf("frame is %d bytes, want 18", len(data))
+	}
+	for _, c := range []struct {
+		name string
+		run  func(*Decoder) error
+	}{
+		{"Decode", func(d *Decoder) error { _, err := d.Decode(data); return err }},
+		{"Validate", func(d *Decoder) error { return d.Validate(data) }},
+	} {
+		d := NewDecoder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.run(d)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s accepted a 40000x40000 frame with a one-block body", c.name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s allocated %d bytes, want < 1 MiB", c.name, n)
+		}
+	}
+}
+
+// FuzzValidateMatchesDecode checks that Validate and Decode accept and
+// reject exactly the same frames, and that neither panics. Each input runs
+// against a Validate/Decode decoder pair primed with the same keyframe,
+// one per seed resolution; the corpus starts from real 360p and 720p key
+// and delta frames at a high and a low rate.
+func FuzzValidateMatchesDecode(f *testing.F) {
+	type pair struct{ val, dec Decoder }
+	var primed []*pair
+	for _, size := range [][2]int{{640, 360}, {1280, 720}} {
+		for _, quality := range []float64{4, 0.05} {
+			w, h := size[0], size[1]
+			scene := NewScene(simrand.New(int64(w)), w, h, 30)
+			enc, _ := NewEncoder(Config{W: w, H: h, FPS: 30, Quality: quality, GOP: 60, SkipThreshold: 2})
+			for i := 0; i < 3; i++ {
+				ef, err := enc.Encode(scene.Next())
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(append([]byte(nil), ef.Data...))
+				if i == 0 && quality == 4 {
+					p := &pair{val: *NewDecoder(), dec: *NewDecoder()}
+					if err := p.val.Validate(ef.Data); err != nil {
+						f.Fatal(err)
+					}
+					if _, err := p.dec.Decode(ef.Data); err != nil {
+						f.Fatal(err)
+					}
+					primed = append(primed, p)
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := primed[0]
+		if len(data) >= 5 {
+			w := int(binary.LittleEndian.Uint16(data[1:]))
+			h := int(binary.LittleEndian.Uint16(data[3:]))
+			for _, q := range primed {
+				if q.dec.ref.W == w && q.dec.ref.H == h {
+					p = q
+				}
+			}
+		}
+		// Copies of the primed decoders: Decode never writes into its
+		// reference frame, so the copies share it safely.
+		val, dec := p.val, p.dec
+		vErr := val.Validate(data)
+		_, dErr := dec.Decode(data)
+		if (vErr == nil) != (dErr == nil) {
+			t.Errorf("Validate err = %v, Decode err = %v", vErr, dErr)
+		}
+	})
 }
 
 // TestSetTargetBpsRetargetsMidStream pins the congestion-control hook: after
