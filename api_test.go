@@ -114,12 +114,9 @@ func TestPublicFleetAPI(t *testing.T) {
 	}
 	opts := tp.Quick(5)
 	opts.SessionDuration = 4 * tp.Second
-	results, err := tp.FleetRun(sel, opts, tp.FleetConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sink := tp.NewMemorySink()
-	err = tp.FleetWrite(results, func(tp.Experiment) (tp.Sink, error) { return sink, nil })
+	results, err := tp.FleetRunStream(sel, opts, tp.FleetConfig{Workers: 4},
+		func(tp.Experiment) (tp.Sink, error) { return sink, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +176,9 @@ func TestPublicSweepAPI(t *testing.T) {
 	spec := tp.SweepSpec{Target: "handover", Axes: []tp.SweepAxis{
 		{Name: "delay_ms", Values: []float64{250}},
 	}}
-	results, err := tp.FleetRunSweep(spec, opts, tp.FleetConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sink := tp.NewMemorySink()
-	if err := tp.FleetWriteSweep(results, sink); err != nil {
+	results, err := tp.FleetRunSweepStream(spec, opts, tp.FleetConfig{Workers: 2}, sink)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sink.Rows) != 1 {

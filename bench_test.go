@@ -288,19 +288,32 @@ func BenchmarkPassiveQoE(b *testing.B) {
 // eight workers should finish the repetition-heavy experiments well over
 // 2x faster than one.
 func benchFleet(b *testing.B, workers int) {
+	benchFleetSuite(b, func() tp.FleetConfig { return tp.FleetConfig{Workers: workers} })
+}
+
+// benchFleetSuite streams the registered suite into per-experiment memory
+// sinks under the config cfg returns (built outside the timer), and
+// reports the emitted row count.
+func benchFleetSuite(b *testing.B, cfg func() tp.FleetConfig) {
 	var rows int
 	for i := 0; i < b.N; i++ {
-		results, err := tp.FleetRunAll(benchOpts(20), tp.FleetConfig{Workers: workers})
+		b.StopTimer()
+		c := cfg()
+		b.StartTimer()
+		results, err := tp.FleetRunStream(tp.Experiments(), benchOpts(20), c, memSinks)
 		if err != nil {
 			b.Fatal(err)
 		}
 		rows = 0
 		for _, r := range results {
-			rows += len(r.Rows)
+			rows += r.RowCount
 		}
 	}
 	b.ReportMetric(float64(rows), "rows")
 }
+
+// memSinks opens a fresh in-memory sink per experiment.
+func memSinks(tp.Experiment) (tp.Sink, error) { return tp.NewMemorySink(), nil }
 
 func BenchmarkFleetSuiteSequential(b *testing.B) { benchFleet(b, 1) }
 func BenchmarkFleetSuiteParallel8(b *testing.B)  { benchFleet(b, 8) }
@@ -311,24 +324,13 @@ func BenchmarkFleetSuiteParallel8(b *testing.B)  { benchFleet(b, 8) }
 // tolerance budget is <5% over BenchmarkFleetSuiteSequential;
 // scripts/bench_fleet.sh computes the overhead into BENCH_fleet.json.
 func BenchmarkFleetSuiteSequentialCheckpoint(b *testing.B) {
-	var rows int
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
+	benchFleetSuite(b, func() tp.FleetConfig {
 		journal, err := tp.OpenFleetJournal(b.TempDir())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.StartTimer()
-		results, err := tp.FleetRunAll(benchOpts(20), tp.FleetConfig{Workers: 1, Checkpoint: journal})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = 0
-		for _, r := range results {
-			rows += len(r.Rows)
-		}
-	}
-	b.ReportMetric(float64(rows), "rows")
+		return tp.FleetConfig{Workers: 1, Checkpoint: journal}
+	})
 }
 
 // BenchmarkFleetKeypoints8Reps isolates a repetition-heavy experiment:
@@ -341,7 +343,7 @@ func benchFleetKeypoints(b *testing.B, workers int) {
 	opts := benchOpts(21)
 	opts.Reps = 8
 	for i := 0; i < b.N; i++ {
-		if _, err := tp.FleetRun(exps, opts, tp.FleetConfig{Workers: workers}); err != nil {
+		if _, err := tp.FleetRunStream(exps, opts, tp.FleetConfig{Workers: workers}, memSinks); err != nil {
 			b.Fatal(err)
 		}
 	}

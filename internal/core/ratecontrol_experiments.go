@@ -111,28 +111,13 @@ func ccrateCell(opts Options, params map[string]float64) (CCRateRow, error) {
 	}
 	cell := SweepCellOptions(opts, "ccrate", params)
 	sc := ccrateSessionConfig(cell.Seed, cell.SessionDuration, kind)
-	tc, tdone, err := cellTelemetry(cell, "ccrate", scenario.ParamLabel(params))
+	sess, res, err := runSessionCell(cell, "ccrate", params, sc, func(sess *vca.Session) error {
+		if capMbps > 0 {
+			sess.UplinkShaper(0).RateBps = capMbps * 1e6
+		}
+		return nil
+	})
 	if err != nil {
-		return CCRateRow{}, err
-	}
-	sc.Telemetry = tc
-	pp, pdone, err := cellProf(cell, "ccrate", scenario.ParamLabel(params))
-	if err != nil {
-		return CCRateRow{}, err
-	}
-	sc.Prof = pp
-	sess, err := vca.NewSession(sc)
-	if err != nil {
-		return CCRateRow{}, err
-	}
-	if capMbps > 0 {
-		sess.UplinkShaper(0).RateBps = capMbps * 1e6
-	}
-	res := sess.Run()
-	if err := tdone(); err != nil {
-		return CCRateRow{}, err
-	}
-	if err := pdone(); err != nil {
 		return CCRateRow{}, err
 	}
 	up := sess.UplinkStats(0)
@@ -194,6 +179,21 @@ func ccrampSessionConfig(seed int64, dur simtime.Duration, controller string) vc
 	return sc
 }
 
+// bindFloorRamp installs the congestion ramp on the sender's uplink (fall
+// over [D/4, 3D/8], hold the floor until 5D/8, rise over D/8) and samples
+// the uplink's delivered-byte counter into startB and endB at the
+// floor-hold window edges; the difference is the achieved rate at the
+// ramp's bottom.
+func bindFloorRamp(sess *vca.Session, start, floor float64, d simtime.Duration, startB, endB *int64) error {
+	sched := scenario.BandwidthRamp(start, floor, d/4, d/8, 5*d/8, d/8)
+	if err := sched.Bind(sess.Scheduler(), sess.UplinkShaper(0)); err != nil {
+		return err
+	}
+	sess.Scheduler().At(simtime.Time(3*d/8), func() { *startB = sess.UplinkStats(0).DeliveredB })
+	sess.Scheduler().At(simtime.Time(5*d/8), func() { *endB = sess.UplinkStats(0).DeliveredB })
+	return nil
+}
+
 // ccrampCell runs one controller x floor cell under the congestion ramp
 // (fall over [D/4, 3D/8], hold the floor until 5D/8, rise over D/8).
 func ccrampCell(opts Options, params map[string]float64) (CCRampRow, error) {
@@ -216,36 +216,12 @@ func ccrampCell(opts Options, params map[string]float64) (CCRampRow, error) {
 	}
 	cell := SweepCellOptions(opts, "ccramp", params)
 	sc := ccrampSessionConfig(cell.Seed, cell.SessionDuration, kind)
-	tc, tdone, err := cellTelemetry(cell, "ccramp", scenario.ParamLabel(params))
-	if err != nil {
-		return CCRampRow{}, err
-	}
-	sc.Telemetry = tc
-	pp, pdone, err := cellProf(cell, "ccramp", scenario.ParamLabel(params))
-	if err != nil {
-		return CCRampRow{}, err
-	}
-	sc.Prof = pp
-	sess, err := vca.NewSession(sc)
-	if err != nil {
-		return CCRampRow{}, err
-	}
 	d := sc.Duration
-	sched := scenario.BandwidthRamp(start, floor, d/4, d/8, 5*d/8, d/8)
-	if err := sched.Bind(sess.Scheduler(), sess.UplinkShaper(0)); err != nil {
-		return CCRampRow{}, err
-	}
-	// Sample the uplink's delivered-byte counter at the floor-hold window
-	// edges; the difference is the achieved rate at the ramp's bottom.
 	var floorStartB, floorEndB int64
-	sess.Scheduler().At(simtime.Time(3*d/8), func() { floorStartB = sess.UplinkStats(0).DeliveredB })
-	sess.Scheduler().At(simtime.Time(5*d/8), func() { floorEndB = sess.UplinkStats(0).DeliveredB })
-
-	res := sess.Run()
-	if err := tdone(); err != nil {
-		return CCRampRow{}, err
-	}
-	if err := pdone(); err != nil {
+	sess, res, err := runSessionCell(cell, "ccramp", params, sc, func(sess *vca.Session) error {
+		return bindFloorRamp(sess, start, floor, d, &floorStartB, &floorEndB)
+	})
+	if err != nil {
 		return CCRampRow{}, err
 	}
 	up := sess.UplinkStats(0)

@@ -122,34 +122,11 @@ func recoveryCell(opts Options, params map[string]float64) (RecoveryRow, error) 
 	}
 	cell := SweepCellOptions(opts, "recovery", params)
 	sc := recoverySessionConfig(cell.Seed, cell.SessionDuration, kind)
-	tc, tdone, err := cellTelemetry(cell, "recovery", scenario.ParamLabel(params))
+	bp := burstParams(params)
+	sess, res, err := runSessionCell(cell, "recovery", params, sc, func(sess *vca.Session) error {
+		return scenario.BurstLoss(bp, 0, 0).Bind(sess.Scheduler(), sess.UplinkShaper(0))
+	})
 	if err != nil {
-		return RecoveryRow{}, err
-	}
-	sc.Telemetry = tc
-	pp, pdone, err := cellProf(cell, "recovery", scenario.ParamLabel(params))
-	if err != nil {
-		return RecoveryRow{}, err
-	}
-	sc.Prof = pp
-	sess, err := vca.NewSession(sc)
-	if err != nil {
-		return RecoveryRow{}, err
-	}
-	bp := scenario.BurstParams{
-		GoodToBad: params["p_good_bad"],
-		BadToGood: params["p_bad_good"],
-		LossBad:   params["loss_bad"],
-	}
-	sched := scenario.BurstLoss(bp, 0, 0)
-	if err := sched.Bind(sess.Scheduler(), sess.UplinkShaper(0)); err != nil {
-		return RecoveryRow{}, err
-	}
-	res := sess.Run()
-	if err := tdone(); err != nil {
-		return RecoveryRow{}, err
-	}
-	if err := pdone(); err != nil {
 		return RecoveryRow{}, err
 	}
 	up := sess.UplinkStats(0)
@@ -235,34 +212,12 @@ func recrampCell(opts Options, params map[string]float64) (RecRampRow, error) {
 	cell := SweepCellOptions(opts, "recramp", params)
 	sc := recoverySessionConfig(cell.Seed, cell.SessionDuration, kind)
 	sc.RateControl = &vca.RateControlConfig{Controller: "gcc"}
-	tc, tdone, err := cellTelemetry(cell, "recramp", scenario.ParamLabel(params))
-	if err != nil {
-		return RecRampRow{}, err
-	}
-	sc.Telemetry = tc
-	pp, pdone, err := cellProf(cell, "recramp", scenario.ParamLabel(params))
-	if err != nil {
-		return RecRampRow{}, err
-	}
-	sc.Prof = pp
-	sess, err := vca.NewSession(sc)
-	if err != nil {
-		return RecRampRow{}, err
-	}
 	d := sc.Duration
-	sched := scenario.BandwidthRamp(start, floor, d/4, d/8, 5*d/8, d/8)
-	if err := sched.Bind(sess.Scheduler(), sess.UplinkShaper(0)); err != nil {
-		return RecRampRow{}, err
-	}
 	var floorStartB, floorEndB int64
-	sess.Scheduler().At(simtime.Time(3*d/8), func() { floorStartB = sess.UplinkStats(0).DeliveredB })
-	sess.Scheduler().At(simtime.Time(5*d/8), func() { floorEndB = sess.UplinkStats(0).DeliveredB })
-
-	res := sess.Run()
-	if err := tdone(); err != nil {
-		return RecRampRow{}, err
-	}
-	if err := pdone(); err != nil {
+	sess, res, err := runSessionCell(cell, "recramp", params, sc, func(sess *vca.Session) error {
+		return bindFloorRamp(sess, start, floor, d, &floorStartB, &floorEndB)
+	})
+	if err != nil {
 		return RecRampRow{}, err
 	}
 	up := sess.UplinkStats(0)

@@ -46,6 +46,42 @@ func scenarioSessionConfig(seed int64, dur simtime.Duration) vca.SessionConfig {
 	return sc
 }
 
+// runSessionCell runs one sweep cell's session: it attaches the cell's
+// telemetry and profiler (when cell asks for them) to sc, builds the
+// session, lets bind install schedules, shaper settings and probes, runs
+// it, and flushes the telemetry and profile outputs. cell is the
+// SweepCellOptions-derived options; target and params name the cell's
+// output files.
+func runSessionCell(cell Options, target string, params map[string]float64, sc vca.SessionConfig,
+	bind func(*vca.Session) error) (*vca.Session, *vca.Results, error) {
+	label := scenario.ParamLabel(params)
+	tc, tdone, err := cellTelemetry(cell, target, label)
+	if err != nil {
+		return nil, nil, err
+	}
+	sc.Telemetry = tc
+	pp, pdone, err := cellProf(cell, target, label)
+	if err != nil {
+		return nil, nil, err
+	}
+	sc.Prof = pp
+	sess, err := vca.NewSession(sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := bind(sess); err != nil {
+		return nil, nil, err
+	}
+	res := sess.Run()
+	if err := tdone(); err != nil {
+		return nil, nil, err
+	}
+	if err := pdone(); err != nil {
+		return nil, nil, err
+	}
+	return sess, res, nil
+}
+
 // --------------------------------------------------------------- handover
 
 // HandoverRow is one cell of the handover experiment: a mid-call path
@@ -74,30 +110,12 @@ func handoverCell(opts Options, params map[string]float64) (HandoverRow, error) 
 	}
 	cell := SweepCellOptions(opts, "handover", params)
 	sc := scenarioSessionConfig(cell.Seed, cell.SessionDuration)
-	tc, tdone, err := cellTelemetry(cell, "handover", scenario.ParamLabel(params))
-	if err != nil {
-		return HandoverRow{}, err
-	}
-	sc.Telemetry = tc
-	pp, pdone, err := cellProf(cell, "handover", scenario.ParamLabel(params))
-	if err != nil {
-		return HandoverRow{}, err
-	}
-	sc.Prof = pp
-	sess, err := vca.NewSession(sc)
-	if err != nil {
-		return HandoverRow{}, err
-	}
 	stepMs := params["delay_ms"]
-	sched := scenario.DelayStep(stepMs, sc.Duration/3, 2*sc.Duration/3)
-	if err := sched.Bind(sess.Scheduler(), sess.UplinkShaper(0)); err != nil {
-		return HandoverRow{}, err
-	}
-	res := sess.Run()
-	if err := tdone(); err != nil {
-		return HandoverRow{}, err
-	}
-	if err := pdone(); err != nil {
+	_, res, err := runSessionCell(cell, "handover", params, sc, func(sess *vca.Session) error {
+		sched := scenario.DelayStep(stepMs, sc.Duration/3, 2*sc.Duration/3)
+		return sched.Bind(sess.Scheduler(), sess.UplinkShaper(0))
+	})
+	if err != nil {
 		return HandoverRow{}, err
 	}
 	return HandoverRow{
@@ -139,6 +157,15 @@ var burstLossGrid = []map[string]float64{
 	{"p_good_bad": 0.05, "p_bad_good": 0.15, "loss_bad": 0.95},
 }
 
+// burstParams reads a cell's Gilbert-Elliott channel parameters.
+func burstParams(params map[string]float64) scenario.BurstParams {
+	return scenario.BurstParams{
+		GoodToBad: params["p_good_bad"],
+		BadToGood: params["p_bad_good"],
+		LossBad:   params["loss_bad"],
+	}
+}
+
 // burstLossCell runs one Gilbert-Elliott cell.
 func burstLossCell(opts Options, params map[string]float64) (BurstLossRow, error) {
 	opts, err := opts.Normalize()
@@ -147,34 +174,11 @@ func burstLossCell(opts Options, params map[string]float64) (BurstLossRow, error
 	}
 	cell := SweepCellOptions(opts, "burstloss", params)
 	sc := scenarioSessionConfig(cell.Seed, cell.SessionDuration)
-	tc, tdone, err := cellTelemetry(cell, "burstloss", scenario.ParamLabel(params))
+	bp := burstParams(params)
+	sess, res, err := runSessionCell(cell, "burstloss", params, sc, func(sess *vca.Session) error {
+		return scenario.BurstLoss(bp, 0, 0).Bind(sess.Scheduler(), sess.UplinkShaper(0))
+	})
 	if err != nil {
-		return BurstLossRow{}, err
-	}
-	sc.Telemetry = tc
-	pp, pdone, err := cellProf(cell, "burstloss", scenario.ParamLabel(params))
-	if err != nil {
-		return BurstLossRow{}, err
-	}
-	sc.Prof = pp
-	sess, err := vca.NewSession(sc)
-	if err != nil {
-		return BurstLossRow{}, err
-	}
-	bp := scenario.BurstParams{
-		GoodToBad: params["p_good_bad"],
-		BadToGood: params["p_bad_good"],
-		LossBad:   params["loss_bad"],
-	}
-	sched := scenario.BurstLoss(bp, 0, 0)
-	if err := sched.Bind(sess.Scheduler(), sess.UplinkShaper(0)); err != nil {
-		return BurstLossRow{}, err
-	}
-	res := sess.Run()
-	if err := tdone(); err != nil {
-		return BurstLossRow{}, err
-	}
-	if err := pdone(); err != nil {
 		return BurstLossRow{}, err
 	}
 	up := sess.UplinkStats(0)
@@ -221,20 +225,6 @@ func congestionCell(opts Options, params map[string]float64) (CongestionRow, err
 	}
 	cell := SweepCellOptions(opts, "congestion", params)
 	sc := scenarioSessionConfig(cell.Seed, cell.SessionDuration)
-	tc, tdone, err := cellTelemetry(cell, "congestion", scenario.ParamLabel(params))
-	if err != nil {
-		return CongestionRow{}, err
-	}
-	sc.Telemetry = tc
-	pp, pdone, err := cellProf(cell, "congestion", scenario.ParamLabel(params))
-	if err != nil {
-		return CongestionRow{}, err
-	}
-	sc.Prof = pp
-	sess, err := vca.NewSession(sc)
-	if err != nil {
-		return CongestionRow{}, err
-	}
 	start, floor := params["start_mbps"]*1e6, params["floor_mbps"]*1e6
 	if !(floor > 0) || !(start > 0) {
 		return CongestionRow{}, fmt.Errorf("congestion: start_mbps %g and floor_mbps %g must both be positive",
@@ -245,15 +235,11 @@ func congestionCell(opts Options, params map[string]float64) (CongestionRow, err
 			params["floor_mbps"], params["start_mbps"])
 	}
 	d := sc.Duration
-	sched := scenario.BandwidthRamp(start, floor, d/4, d/8, 5*d/8, d/8)
-	if err := sched.Bind(sess.Scheduler(), sess.UplinkShaper(0)); err != nil {
-		return CongestionRow{}, err
-	}
-	res := sess.Run()
-	if err := tdone(); err != nil {
-		return CongestionRow{}, err
-	}
-	if err := pdone(); err != nil {
+	sess, res, err := runSessionCell(cell, "congestion", params, sc, func(sess *vca.Session) error {
+		sched := scenario.BandwidthRamp(start, floor, d/4, d/8, 5*d/8, d/8)
+		return sched.Bind(sess.Scheduler(), sess.UplinkShaper(0))
+	})
+	if err != nil {
 		return CongestionRow{}, err
 	}
 	up := sess.UplinkStats(0)

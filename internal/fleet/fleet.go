@@ -45,10 +45,10 @@ type Config struct {
 	// (content-addressed, atomic) as soon as the unit finishes.
 	Checkpoint *Journal
 	// Resume serves units already present in Checkpoint from the journal
-	// instead of re-running them. Only the streaming entry points
-	// (RunStream, RunSweepStream) can resume: journaled rows are
-	// pre-encoded bytes and cannot be restored as typed rows, which the
-	// buffered Run/RunSweep results promise.
+	// instead of re-running them. Journaled rows are pre-encoded bytes, so
+	// the sink must implement EntrySink to replay them; a sink that only
+	// takes typed rows (MemorySink) fails the run with a "no EntrySink"
+	// error at the first journaled unit.
 	Resume bool
 	// Interrupt, when non-nil, triggers a graceful drain once it becomes
 	// receivable (closed): no new units start, in-flight units finish and
@@ -76,12 +76,7 @@ type Config struct {
 type ExperimentResult struct {
 	// Experiment is the registry entry that produced the rows.
 	Experiment core.Experiment
-	// Rows holds every rep's rows concatenated in rep order. Streaming
-	// runs (RunStream) leave it nil — rows went to the sink — and report
-	// RowCount instead.
-	Rows []core.Row
-	// RowCount is the number of rows the experiment emitted (set by both
-	// buffered and streaming runs).
+	// RowCount is the number of rows the experiment emitted to its sink.
 	RowCount int
 	// Reps is how many work units the experiment sharded into.
 	Reps int
@@ -94,8 +89,7 @@ type ExperimentResult struct {
 	Attempts int
 	// Resumed counts reps served from the checkpoint journal.
 	Resumed int
-	// Err is the first (lowest-rep) failure, if any; buffered runs leave
-	// Rows nil then.
+	// Err is the first (lowest-rep) failure, if any.
 	Err error
 	// Failures records every failed rep with its error, captured panic
 	// stack, and attempt count (the manifest's failures section).
@@ -125,98 +119,21 @@ func experimentUnits(exps []core.Experiment, opts core.Options) ([]unit, []struc
 	return units, owners, nil
 }
 
-// Run executes the given experiments under opts, sharding every
+// RunStream executes the given experiments under opts, sharding every
 // experiment's repetitions across one worker pool of cfg.Workers
-// goroutines. Results come back in the order experiments were passed, each
-// with rows merged in rep order — identical bytes for any worker count.
+// goroutines, and streams each repetition's rows to per-experiment sinks
+// (from factory) as soon as the repetition and all earlier ones have
+// completed. Emission is in (experiment, rep) order, so every sink sees
+// identical bytes for any worker count, and memory stays bounded by the
+// reorder window instead of the whole run. Results carry per-experiment
+// metadata (RowCount, Attempts, Resumed, Failures) in the order
+// experiments were passed; typed rows are what a MemorySink collects.
 //
-// A rep failure (error, panic, or watchdog timeout, after retries) fails
-// its experiment (recorded in ExperimentResult.Err with the captured stack
-// in Failures) but does not stop the others; Run's error joins all
-// experiment errors. Run buffers every row; use RunStream to stream rows
-// per completed rep and to resume from a checkpoint journal.
-func Run(exps []core.Experiment, opts core.Options, cfg Config) ([]ExperimentResult, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Resume {
-		return nil, errors.New("fleet: Run cannot resume from a journal (journaled rows are pre-encoded; use RunStream)")
-	}
-	units, owners, err := experimentUnits(exps, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	rows := make([][][]core.Row, len(exps)) // [exp][rep] -> rows
-	errs := make([][]error, len(exps))
-	walls := make([]time.Duration, len(exps))
-	attempts := make([]int, len(exps))
-	failures := make([][]UnitFailure, len(exps))
-	for ei := range exps {
-		reps := 0
-		for _, o := range owners {
-			if o.exp == ei {
-				reps++
-			}
-		}
-		rows[ei] = make([][]core.Row, reps)
-		errs[ei] = make([]error, reps)
-	}
-
-	if _, err := runOrdered(units, opts.Fingerprint(), cfg, func(i int, o unitOutcome) error {
-		t := owners[i]
-		rows[t.exp][t.rep] = o.rows
-		errs[t.exp][t.rep] = o.err
-		walls[t.exp] += o.wall
-		attempts[t.exp] += o.attempts
-		if o.err != nil {
-			failures[t.exp] = append(failures[t.exp], UnitFailure{
-				Unit: units[i].key, Error: o.err.Error(), Stack: o.stack, Attempts: o.attempts,
-			})
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	results := make([]ExperimentResult, len(exps))
-	var joined []error
-	for ei, e := range exps {
-		res := ExperimentResult{
-			Experiment: e, Reps: len(rows[ei]), Wall: walls[ei],
-			Attempts: attempts[ei], Failures: failures[ei],
-		}
-		for rep, err := range errs[ei] {
-			if err != nil {
-				res.Err = fmt.Errorf("fleet: %s rep %d: %w", e.Name, rep, err)
-				break
-			}
-		}
-		if res.Err == nil {
-			for _, rr := range rows[ei] {
-				res.Rows = append(res.Rows, rr...)
-			}
-			res.RowCount = len(res.Rows)
-		} else {
-			joined = append(joined, res.Err)
-		}
-		results[ei] = res
-	}
-	return results, errors.Join(joined...)
-}
-
-// RunStream executes experiments like Run but streams each repetition's
-// rows to per-experiment sinks (from factory) as soon as the repetition
-// and all earlier ones have completed, so memory stays bounded by the
-// reorder window instead of the whole run. Results carry per-rep metadata
-// only: Rows is nil, RowCount/Attempts/Resumed/Failures are set.
-//
-// Unlike WriteResults (which skips a failed experiment entirely), a
-// failing repetition does not suppress its siblings: completed reps
-// stream immediately and failures land in Failures and the joined error —
-// the resulting file has a gap exactly where the failed rep's rows would
-// be, which a later resumed run fills in.
+// A rep failure (error, panic, or watchdog timeout, after retries) does
+// not suppress its siblings: completed reps stream immediately and
+// failures land in Failures and the joined error — the resulting file has
+// a gap exactly where the failed rep's rows would be, which a later
+// resumed run fills in.
 //
 // With cfg.Checkpoint set, completed reps journal before they stream; with
 // cfg.Resume, journaled reps replay through the sink without running — the
@@ -331,11 +248,6 @@ func RunStream(exps []core.Experiment, opts core.Options, cfg Config, factory Si
 		joined = append(joined, closeErr)
 	}
 	return results, errors.Join(joined...)
-}
-
-// RunAll runs every registered experiment (sorted by name).
-func RunAll(opts core.Options, cfg Config) ([]ExperimentResult, error) {
-	return Run(core.Experiments(), opts, cfg)
 }
 
 // Select resolves experiment names against the registry. The single name

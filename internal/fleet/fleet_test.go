@@ -20,24 +20,31 @@ func testOpts(seed int64) core.Options {
 	return o
 }
 
-// encodeJSONL renders every experiment's rows as JSONL, keyed by name.
-func encodeJSONL(t *testing.T, results []ExperimentResult) map[string][]byte {
-	t.Helper()
-	out := map[string][]byte{}
-	for _, res := range results {
-		if res.Err != nil {
-			t.Fatalf("%s: %v", res.Experiment.Name, res.Err)
-		}
-		var buf bytes.Buffer
-		s := NewJSONLSink(&buf)
-		for _, row := range res.Rows {
-			if err := s.Write(row); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out[res.Experiment.Name] = buf.Bytes()
+// streamJSONL runs experiments through RunStream with one JSONL sink per
+// experiment — the bytes vpfleet writes to each experiment's file — keyed
+// by name.
+func streamJSONL(exps []core.Experiment, opts core.Options, cfg Config) (map[string][]byte, []ExperimentResult, error) {
+	bufs := map[string]*bytes.Buffer{}
+	results, err := RunStream(exps, opts, cfg, func(e core.Experiment) (Sink, error) {
+		bufs[e.Name] = &bytes.Buffer{}
+		return NewJSONLSink(bufs[e.Name]), nil
+	})
+	out := make(map[string][]byte, len(bufs))
+	for name, b := range bufs {
+		out[name] = b.Bytes()
 	}
-	return out
+	return out, results, err
+}
+
+// streamMem runs experiments through RunStream with one MemorySink per
+// experiment, keyed by name, for tests that inspect typed rows.
+func streamMem(exps []core.Experiment, opts core.Options, cfg Config) ([]ExperimentResult, map[string]*MemorySink, error) {
+	sinks := map[string]*MemorySink{}
+	results, err := RunStream(exps, opts, cfg, func(e core.Experiment) (Sink, error) {
+		sinks[e.Name] = NewMemorySink()
+		return sinks[e.Name], nil
+	})
+	return results, sinks, err
 }
 
 // TestDeterminismAcrossWorkers is the fleet's core guarantee: `run all`
@@ -85,11 +92,11 @@ func TestRunMergesRepOrder(t *testing.T) {
 			return []core.Row{rep * 10, rep*10 + 1}, nil
 		},
 	}
-	res, err := Run([]core.Experiment{exp}, core.Quick(1), Config{Workers: 8})
+	_, sinks, err := streamMem([]core.Experiment{exp}, core.Quick(1), Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res[0].Rows
+	rows := sinks["synthetic"].Rows
 	if len(rows) != 32 {
 		t.Fatalf("%d rows, want 32", len(rows))
 	}
@@ -102,7 +109,7 @@ func TestRunMergesRepOrder(t *testing.T) {
 }
 
 func TestRunInvalidOptions(t *testing.T) {
-	if _, err := RunAll(core.Options{Reps: -1}, Config{}); err == nil {
+	if _, _, err := streamMem(core.Experiments(), core.Options{Reps: -1}, Config{}); err == nil {
 		t.Error("negative Reps not rejected")
 	}
 }
@@ -124,7 +131,7 @@ func TestSelect(t *testing.T) {
 func TestManifest(t *testing.T) {
 	exps, _ := Select("servers", "protocols")
 	opts := testOpts(3)
-	res, err := Run(exps, opts, Config{Workers: 2})
+	res, _, err := streamMem(exps, opts, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,16 +149,13 @@ func TestManifest(t *testing.T) {
 
 func TestMemorySink(t *testing.T) {
 	exps, _ := Select("servers")
-	res, err := Run(exps, testOpts(4), Config{Workers: 2})
+	sink := NewMemorySink()
+	res, err := RunStream(exps, testOpts(4), Config{Workers: 2}, func(core.Experiment) (Sink, error) { return sink, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := NewMemorySink()
-	if err := WriteResults(res, func(core.Experiment) (Sink, error) { return sink, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.Rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(sink.Rows))
+	if len(sink.Rows) != 3 || res[0].RowCount != 3 {
+		t.Fatalf("%d rows (RowCount %d), want 3", len(sink.Rows), res[0].RowCount)
 	}
 	if _, ok := sink.Rows[0].(core.MultiServerRow); !ok {
 		t.Errorf("row type %T, want core.MultiServerRow", sink.Rows[0])

@@ -21,15 +21,16 @@ var regenGolden = flag.Bool("regen-golden", false, "rewrite testdata/golden_suit
 
 const goldenPath = "testdata/golden_suite.jsonl"
 
-// suiteJSONL runs the given experiments at the golden options and renders
-// each one's rows as JSONL, keyed by name.
+// suiteJSONL streams the given experiments at the golden options through
+// RunStream into per-experiment JSONL sinks — the path and the bytes of
+// `vpfleet run` — keyed by name.
 func suiteJSONL(t *testing.T, exps []core.Experiment, workers int) map[string][]byte {
 	t.Helper()
-	results, err := Run(exps, testOpts(1), Config{Workers: workers})
+	byName, _, err := streamJSONL(exps, testOpts(1), Config{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return encodeJSONL(t, results)
+	return byName
 }
 
 // fullSuiteW1 caches the workers=1 full-suite run: it is both the golden

@@ -40,7 +40,7 @@ func flakyExperiment(name string, reps, failPer int, doPanic bool) (core.Experim
 func TestPanicIsolation(t *testing.T) {
 	boom, _ := flakyExperiment("boom", 2, 99, true)
 	good, _ := flakyExperiment("good", 2, 0, false)
-	res, err := Run([]core.Experiment{boom, good}, core.Quick(1), Config{Workers: 4})
+	res, sinks, err := streamMem([]core.Experiment{boom, good}, core.Quick(1), Config{Workers: 4})
 	if err == nil {
 		t.Fatal("panicking experiment produced no error")
 	}
@@ -57,8 +57,11 @@ func TestPanicIsolation(t *testing.T) {
 	if f.Unit != "run/boom/rep0" && f.Unit != "run/boom/rep1" {
 		t.Errorf("failure unit key %q", f.Unit)
 	}
-	if res[1].Err != nil || len(res[1].Rows) != 4 {
-		t.Errorf("sibling experiment harmed: err=%v rows=%d", res[1].Err, len(res[1].Rows))
+	if res[1].Err != nil || len(sinks["good"].Rows) != 4 {
+		t.Errorf("sibling experiment harmed: err=%v rows=%d", res[1].Err, len(sinks["good"].Rows))
+	}
+	if _, ok := sinks["boom"]; ok {
+		t.Error("failed experiment opened a sink")
 	}
 }
 
@@ -71,17 +74,16 @@ func TestRetryDeterminism(t *testing.T) {
 	clean, _ := flakyExperiment("flaky", 4, 0, false) // same name: same unit keys
 	opts := core.Quick(1)
 
-	want, err := Run([]core.Experiment{clean}, opts, Config{Workers: 4})
+	want, _, err := streamJSONL([]core.Experiment{clean}, opts, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run([]core.Experiment{flaky}, opts, Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: n}})
+	gotJSONL, got, err := streamJSONL([]core.Experiment{flaky}, opts, Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: n}})
 	if err != nil {
 		t.Fatalf("retries did not converge: %v", err)
 	}
-	w := encodeJSONL(t, want)["flaky"]
-	g := encodeJSONL(t, got)["flaky"]
-	if string(w) != string(g) {
+	w, g := want["flaky"], gotJSONL["flaky"]
+	if len(w) == 0 || string(w) != string(g) {
 		t.Errorf("retried rows diverge from clean rows\nclean: %s\nretry: %s", w, g)
 	}
 	if got[0].Attempts != 4*n {
@@ -89,7 +91,7 @@ func TestRetryDeterminism(t *testing.T) {
 	}
 	// Same runner with one attempt fewer must fail instead of converging.
 	flaky2, _ := flakyExperiment("flaky", 4, n-1, false)
-	if _, err := Run([]core.Experiment{flaky2}, opts, Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: n - 1}}); err == nil {
+	if _, _, err := streamMem([]core.Experiment{flaky2}, opts, Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: n - 1}}); err == nil {
 		t.Error("under-budgeted retry succeeded")
 	}
 }
@@ -111,12 +113,12 @@ func TestWatchdogTimeout(t *testing.T) {
 		},
 	}
 	cfg := Config{Workers: 1, Retry: RetryPolicy{MaxAttempts: 2, PerCellTimeout: 50 * time.Millisecond}}
-	res, err := Run([]core.Experiment{hangFirst}, core.Quick(1), cfg)
+	res, sinks, err := streamMem([]core.Experiment{hangFirst}, core.Quick(1), cfg)
 	if err != nil {
 		t.Fatalf("watchdog retry did not converge: %v", err)
 	}
-	if len(res[0].Rows) != 1 || res[0].Attempts != 2 {
-		t.Errorf("rows=%d attempts=%d, want 1 row in 2 attempts", len(res[0].Rows), res[0].Attempts)
+	if len(sinks["hang"].Rows) != 1 || res[0].Attempts != 2 {
+		t.Errorf("rows=%d attempts=%d, want 1 row in 2 attempts", len(sinks["hang"].Rows), res[0].Attempts)
 	}
 
 	alwaysHang := core.Experiment{
@@ -128,7 +130,7 @@ func TestWatchdogTimeout(t *testing.T) {
 		},
 	}
 	cfg = Config{Workers: 1, Retry: RetryPolicy{MaxAttempts: 1, PerCellTimeout: 50 * time.Millisecond}}
-	_, err = Run([]core.Experiment{alwaysHang}, core.Quick(1), cfg)
+	_, _, err = streamMem([]core.Experiment{alwaysHang}, core.Quick(1), cfg)
 	if !errors.Is(err, ErrUnitTimeout) {
 		t.Errorf("hung unit error = %v, want ErrUnitTimeout", err)
 	}
@@ -150,20 +152,48 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestBufferedRunsRejectResume: the buffered entry points promise typed
-// rows, which journal entries cannot provide.
-func TestBufferedRunsRejectResume(t *testing.T) {
+// TestResumeRequiresEntrySink: journaled rows are pre-encoded bytes, so a
+// resumed run cannot replay them into a typed-row MemorySink. With one
+// journaled unit, both streaming entry points must fail with the engine's
+// "no EntrySink" error and emit no rows for that unit.
+func TestResumeRequiresEntrySink(t *testing.T) {
+	const want = "cannot replay journal entries (no EntrySink)"
+	opts := core.Quick(1)
+
 	j, err := OpenJournal(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Checkpoint: j, Resume: true}
-	if _, err := RunAll(core.Quick(1), cfg); err == nil || !strings.Contains(err.Error(), "RunStream") {
-		t.Errorf("Run with Resume: %v, want a rejection pointing at RunStream", err)
+	exp, _ := flakyExperiment("journaled", 1, 0, false)
+	if _, _, err := streamJSONL([]core.Experiment{exp}, opts, Config{Checkpoint: j}); err != nil {
+		t.Fatal(err)
+	}
+	res, sinks, err := streamMem([]core.Experiment{exp}, opts, Config{Checkpoint: j, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("RunStream resume into MemorySink: %v, want %q", err, want)
+	}
+	if n := len(sinks["journaled"].Rows); n != 0 || res[0].RowCount != 0 {
+		t.Errorf("RunStream emitted %d rows (RowCount %d) for the journaled rep, want 0", n, res[0].RowCount)
+	}
+
+	sj, err := OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
 	spec := SweepSpec{Target: "synth-sweep", Axes: []Axis{{Name: "a", Values: []float64{1}}}}
-	if _, err := RunSweep(spec, core.Quick(1), cfg); err == nil || !strings.Contains(err.Error(), "RunSweepStream") {
-		t.Errorf("RunSweep with Resume: %v, want a rejection pointing at RunSweepStream", err)
+	if _, _, err := streamSweepJSONL(t, spec, opts, Config{Checkpoint: sj}); err != nil {
+		t.Fatal(err)
+	}
+	sink := NewMemorySink()
+	cells, err := RunSweepStream(spec, opts, Config{Checkpoint: sj, Resume: true}, sink)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("RunSweepStream resume into MemorySink: %v, want %q", err, want)
+	}
+	if len(sink.Rows) != 0 {
+		t.Errorf("RunSweepStream emitted %d rows for the journaled cell, want 0", len(sink.Rows))
+	}
+	if !cells[0].Resumed {
+		t.Error("journaled cell not served from the journal")
 	}
 }
 
@@ -172,7 +202,8 @@ func TestBufferedRunsRejectResume(t *testing.T) {
 func TestSweepPanicIsolated(t *testing.T) {
 	spec := SweepSpec{Target: "synth-sweep", Axes: []Axis{
 		{Name: "a", Values: []float64{-2, 1}}}}
-	results, err := RunSweep(spec, core.Quick(1), Config{Workers: 2})
+	sink := NewMemorySink()
+	results, err := RunSweepStream(spec, core.Quick(1), Config{Workers: 2}, sink)
 	if err == nil {
 		t.Fatal("panicking cell produced no error")
 	}
@@ -182,7 +213,7 @@ func TestSweepPanicIsolated(t *testing.T) {
 	if results[0].Stack == "" {
 		t.Error("panic stack not captured on cell result")
 	}
-	if results[1].Err != nil || len(results[1].Rows) != 1 {
+	if results[1].Err != nil || results[1].RowCount != 1 || len(sink.Rows) != 1 {
 		t.Errorf("surviving cell harmed: %v", results[1].Err)
 	}
 	m := NewSweepManifest(spec, core.Quick(1), 2, time.Millisecond, results)

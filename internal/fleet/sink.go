@@ -32,30 +32,6 @@ type EntrySink interface {
 	WriteEntry(e *JournalEntry) error
 }
 
-// WriteResults streams every successful result's rows through a fresh sink
-// from factory, in result order. Failed experiments are skipped.
-func WriteResults(results []ExperimentResult, factory SinkFactory) error {
-	for _, res := range results {
-		if res.Err != nil {
-			continue
-		}
-		s, err := factory(res.Experiment)
-		if err != nil {
-			return err
-		}
-		for _, row := range res.Rows {
-			if err := s.Write(row); err != nil {
-				s.Close()
-				return err
-			}
-		}
-		if err := s.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ------------------------------------------------------------------ JSONL
 
 type jsonlSink struct {
@@ -90,7 +66,9 @@ func (s jsonlSink) WriteEntry(e *JournalEntry) error {
 
 // ----------------------------------------------------------------- Memory
 
-// MemorySink accumulates rows in memory, for tests and programmatic use.
+// MemorySink accumulates typed rows in memory, for tests and programmatic
+// use. It is not an EntrySink: a resumed run cannot replay journaled
+// (pre-encoded) rows into it and fails at the first journaled unit.
 type MemorySink struct{ Rows []core.Row }
 
 // NewMemorySink returns an empty in-memory sink.
@@ -193,16 +171,12 @@ func NewManifest(opts core.Options, workers int, wall time.Duration, results []E
 		m.Errors = append(m.Errors, fmt.Sprintf("options: %v", normErr))
 	}
 	for _, res := range results {
-		rows := res.RowCount
-		if rows == 0 {
-			rows = len(res.Rows)
-		}
 		em := ExperimentManifest{
 			Name:       res.Experiment.Name,
 			Reps:       res.Reps,
-			Rows:       rows,
+			Rows:       res.RowCount,
 			WallMs:     float64(res.Wall) / float64(time.Millisecond),
-			RowsPerSec: rowsPerSec(rows, res.Wall),
+			RowsPerSec: rowsPerSec(res.RowCount, res.Wall),
 			Attempts:   res.Attempts,
 			Resumed:    res.Resumed,
 		}
@@ -215,7 +189,7 @@ func NewManifest(opts core.Options, workers int, wall time.Duration, results []E
 				em.Skipped = true
 			}
 		}
-		m.Rows += rows
+		m.Rows += res.RowCount
 		m.Experiments = append(m.Experiments, em)
 	}
 	m.RowsPerSec = rowsPerSec(m.Rows, wall)

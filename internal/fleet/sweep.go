@@ -114,11 +114,7 @@ func (s SweepSpec) Cells() []SweepCell {
 // SweepCellResult is one cell's merged outcome.
 type SweepCellResult struct {
 	Cell SweepCell
-	// Rows holds the cell's rows. Streaming runs (RunSweepStream) leave it
-	// nil — rows went to the sink — and report RowCount instead.
-	Rows []core.Row
-	// RowCount is the number of rows the cell emitted (set by both
-	// buffered and streaming runs).
+	// RowCount is the number of rows the cell emitted to the sink.
 	RowCount int
 	Wall     time.Duration
 	// Attempts is how many tries the cell took (>1 when retries fired).
@@ -148,59 +144,16 @@ func sweepUnits(spec SweepSpec, opts core.Options) ([]unit, []SweepCell) {
 	return units, cells
 }
 
-// RunSweep executes every cell of the grid, sharding cells across a worker
-// pool of cfg.Workers goroutines. Per the CellRunner contract a cell's
-// rows are a pure function of (opts, parameter values) — cell seeds derive
-// from the run seed and the canonical parameter label, never from grid
-// position — so results come back in grid order with byte-identical rows
-// at any worker count, exactly like Run. A cell failure (error, panic, or
-// watchdog timeout, after cfg.Retry's attempts) is recorded in its result
-// but does not stop the others; the returned error joins all cell errors.
-//
-// RunSweep buffers every row; use RunSweepStream to stream rows per
-// completed cell and to resume from a checkpoint journal.
-func RunSweep(spec SweepSpec, opts core.Options, cfg Config) ([]SweepCellResult, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Resume {
-		return nil, errors.New("fleet: RunSweep cannot resume from a journal (journaled rows are pre-encoded; use RunSweepStream)")
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	units, cells := sweepUnits(spec, opts)
-
-	results := make([]SweepCellResult, len(cells))
-	if _, err := runOrdered(units, opts.Fingerprint(), cfg, func(i int, o unitOutcome) error {
-		res := SweepCellResult{
-			Cell: cells[i], Rows: o.rows, RowCount: o.rowCount(),
-			Wall: o.wall, Attempts: o.attempts, Err: o.err, Stack: o.stack,
-		}
-		if o.err != nil {
-			res.Err = fmt.Errorf("fleet: sweep %s cell %d (%s): %w", spec.Target, cells[i].Index, cells[i].Label, o.err)
-		}
-		results[i] = res
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	var failures []error
-	for _, r := range results {
-		if r.Err != nil {
-			failures = append(failures, r.Err)
-		}
-	}
-	return results, errors.Join(failures...)
-}
-
-// RunSweepStream executes the grid like RunSweep but streams each cell's
-// rows to sink as soon as the cell and all earlier cells have resolved, so
-// memory stays bounded by the reorder window (Config.Window) instead of
-// the grid size. Results carry per-cell metadata only: Rows is nil,
-// RowCount/Attempts/Resumed are set. The sink is closed before returning.
+// RunSweepStream executes every cell of the grid, sharding cells across a
+// worker pool of cfg.Workers goroutines, and streams each cell's rows to
+// sink as soon as the cell and all earlier cells have resolved, so memory
+// stays bounded by the reorder window (Config.Window) instead of the grid
+// size. Per the CellRunner contract a cell's rows are a pure function of
+// (opts, parameter values) — cell seeds derive from the run seed and the
+// canonical parameter label, never from grid position — so the sink sees
+// rows in grid order, byte-identical at any worker count. Results carry
+// per-cell metadata (RowCount, Attempts, Resumed) in grid order. The sink
+// is closed before returning.
 //
 // A failed cell leaves a gap in the stream exactly where its rows would
 // be; an interrupted run (cfg.Interrupt) drains in-flight cells, journals
@@ -269,24 +222,6 @@ func RunSweepStream(spec SweepSpec, opts core.Options, cfg Config, sink Sink) ([
 		joined = append(joined, closeErr)
 	}
 	return results, errors.Join(joined...)
-}
-
-// WriteSweep streams every successful cell's rows through one sink, in
-// grid order. Failed cells are skipped (their error is already in the
-// results).
-func WriteSweep(results []SweepCellResult, sink Sink) error {
-	for _, res := range results {
-		if res.Err != nil {
-			continue
-		}
-		for _, row := range res.Rows {
-			if err := sink.Write(row); err != nil {
-				sink.Close()
-				return err
-			}
-		}
-	}
-	return sink.Close()
 }
 
 // SweepAxisManifest records one swept axis in a sweep manifest.
@@ -376,16 +311,12 @@ func NewSweepManifest(spec SweepSpec, opts core.Options, workers int, wall time.
 		m.Axes = append(m.Axes, SweepAxisManifest{Name: a.Name, Values: a.Values})
 	}
 	for _, r := range results {
-		rows := r.RowCount
-		if rows == 0 {
-			rows = len(r.Rows)
-		}
 		cm := SweepCellManifest{
 			Index:      r.Cell.Index,
 			Label:      r.Cell.Label,
-			Rows:       rows,
+			Rows:       r.RowCount,
 			WallMs:     float64(r.Wall) / float64(time.Millisecond),
-			RowsPerSec: rowsPerSec(rows, r.Wall),
+			RowsPerSec: rowsPerSec(r.RowCount, r.Wall),
 			Attempts:   r.Attempts,
 			Resumed:    r.Resumed,
 		}
@@ -406,7 +337,7 @@ func NewSweepManifest(spec SweepSpec, opts core.Options, workers int, wall time.
 			}
 			m.Errors = append(m.Errors, r.Err.Error())
 		}
-		m.Rows += rows
+		m.Rows += r.RowCount
 		m.CellTimings = append(m.CellTimings, cm)
 	}
 	m.RowsPerSec = rowsPerSec(m.Rows, wall)

@@ -47,7 +47,7 @@ func TestTraceFilesDeterministicAcrossWorkers(t *testing.T) {
 		dir := t.TempDir()
 		o := opts
 		o.TraceDir, o.MetricsDir = dir, dir
-		if _, err := Run(exps, o, Config{Workers: workers}); err != nil {
+		if _, _, err := streamMem(exps, o, Config{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		return readDir(t, dir)
@@ -93,7 +93,7 @@ func TestManifestTimingBreakdown(t *testing.T) {
 	results := []ExperimentResult{
 		{
 			Experiment: core.Experiment{Name: "a"},
-			Rows:       make([]core.Row, 10),
+			RowCount:   10,
 			Reps:       2,
 			Wall:       2 * time.Second,
 		},
@@ -123,8 +123,8 @@ func TestManifestTimingBreakdown(t *testing.T) {
 func TestSweepManifestCellTimings(t *testing.T) {
 	spec := SweepSpec{Target: "burstloss", Axes: []Axis{{Name: "loss_bad", Values: []float64{0.5, 0.9}}}}
 	results := []SweepCellResult{
-		{Cell: SweepCell{Index: 0, Label: "loss_bad-0.5"}, Rows: make([]core.Row, 1), Wall: 500 * time.Millisecond},
-		{Cell: SweepCell{Index: 1, Label: "loss_bad-0.9"}, Rows: make([]core.Row, 3), Wall: time.Second},
+		{Cell: SweepCell{Index: 0, Label: "loss_bad-0.5"}, RowCount: 1, Wall: 500 * time.Millisecond},
+		{Cell: SweepCell{Index: 1, Label: "loss_bad-0.9"}, RowCount: 3, Wall: time.Second},
 	}
 	m := NewSweepManifest(spec, core.Options{Seed: 1}, 2, 2*time.Second, results)
 	if m.Format != SweepManifestFormat {

@@ -11,8 +11,9 @@
 //     Fig5, Fig6, Fig7, MeshStreaming, KeypointStreaming, DisplayLatency,
 //     RateAdaptation, AnycastAudit, ProtocolMatrix, RemoteRenderAblation).
 //   - Fleet: a registry of every experiment plus a deterministic parallel
-//     scheduler (FleetRun) that shards repetitions across a worker pool
-//     and streams merged rows to pluggable sinks (JSONL, CSV, in-memory).
+//     scheduler (FleetRunStream) that shards repetitions across a worker
+//     pool and streams rows in rep order to pluggable sinks (JSONL, CSV,
+//     in-memory).
 //   - Building blocks, re-exported for direct use: the semantic codec, the
 //     mesh codec, the renderer cost model, and the geography/RTT model.
 //
@@ -409,7 +410,7 @@ var (
 )
 
 // Parameter sweeps: cartesian grids over a sweep target's schedule
-// parameters, sharded like experiment reps (see FleetRunSweep).
+// parameters, sharded like experiment reps (see FleetRunSweepStream).
 type (
 	// SweepTarget is a parameterized experiment registered for sweeps.
 	SweepTarget = core.SweepTarget
@@ -440,16 +441,12 @@ var (
 	RegisterExperiment = core.Register
 	// SelectExperiments resolves names ("all" = everything).
 	SelectExperiments = fleet.Select
-	// FleetRun shards the experiments' reps across a worker pool;
-	// merged output is byte-identical for any worker count.
-	FleetRun = fleet.Run
-	// FleetRunStream streams rows per completed rep (bounded memory) and
-	// supports checkpoint resume.
+	// FleetRunStream shards the experiments' reps across a worker pool
+	// and streams rows per completed rep to per-experiment sinks, in rep
+	// order: byte-identical for any worker count, memory bounded by the
+	// reorder window, resumable from a checkpoint journal. Collect typed
+	// rows with NewMemorySink.
 	FleetRunStream = fleet.RunStream
-	// FleetRunAll runs the whole registered suite.
-	FleetRunAll = fleet.RunAll
-	// FleetWrite streams results through per-experiment sinks.
-	FleetWrite = fleet.WriteResults
 	// OpenFleetJournal opens (creating if needed) a checkpoint directory.
 	OpenFleetJournal = fleet.OpenJournal
 	// ErrFleetInterrupted marks a gracefully drained (resumable) run;
@@ -471,14 +468,11 @@ var (
 	// SweepCellOptions derives a cell's options from the run seed and the
 	// cell's parameter values (for custom CellRunner implementations).
 	SweepCellOptions = core.SweepCellOptions
-	// FleetRunSweep shards a sweep grid's cells across a worker pool;
-	// merged output is byte-identical for any worker count.
-	FleetRunSweep = fleet.RunSweep
-	// FleetRunSweepStream streams rows per completed cell (bounded
-	// memory) and supports checkpoint resume.
+	// FleetRunSweepStream shards a sweep grid's cells across a worker
+	// pool and streams rows per completed cell to one sink, in grid
+	// order: byte-identical for any worker count, memory bounded, and
+	// resumable from a checkpoint journal.
 	FleetRunSweepStream = fleet.RunSweepStream
-	// FleetWriteSweep streams sweep results through one sink in grid order.
-	FleetWriteSweep = fleet.WriteSweep
 	// NewFleetSweepManifest builds the provenance record of a sweep run.
 	NewFleetSweepManifest = fleet.NewSweepManifest
 )
